@@ -7,6 +7,7 @@ use crimes_bench::harness::{BenchmarkId, Criterion};
 
 use crimes::ReplayEngine;
 use crimes_vm::Vm;
+use crimes_vmi::VmiSession;
 use crimes_workloads::attacks;
 
 /// Build a recorded epoch with `noise` ops before the overflow; return
@@ -49,10 +50,11 @@ fn bench(c: &mut Criterion) {
     for noise in [10usize, 100, 1000] {
         let (mut vm, frames, disk, meta, ops, pid, canary) = scenario(noise);
         let engine = ReplayEngine::new();
+        let live = VmiSession::init(&vm).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(noise), &noise, |b, _| {
             b.iter(|| {
                 engine
-                    .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, canary)
+                    .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, canary, &live)
                     .unwrap()
                     .unwrap()
             })

@@ -6,11 +6,16 @@
 //! corrupting instruction and captures a third dump there, (3) diffs the
 //! dumps, runs the Volatility-style plugin sweep, and (4) renders the
 //! §5.6-style security report — fully automated, "zero-touch".
+//!
+//! Every introspection session the response opens (replay's, and one per
+//! analysed dump) is reopened from the monitor's live session, so the
+//! `System.map` parse is paid once per monitor, not once per incident.
 
 use std::fmt::Write as _;
 
 use crimes_forensics::{plugins, DumpDiff, DumpKind, MemoryDump, ReportBuilder, SecurityReport};
 use crimes_vm::{GuestOp, MetaSnapshot, Vm};
+use crimes_vmi::VmiSession;
 
 use crate::detector::{Detection, ScanFinding};
 use crate::error::CrimesError;
@@ -61,9 +66,11 @@ impl Analyzer {
     /// Run the full §3.3 response for a failed epoch.
     ///
     /// `vm` must be the suspended, attacked VM; `backup_frames`/`meta` the
-    /// last clean checkpoint; `epoch_ops` the failed epoch's trace. On
-    /// return the VM is left wherever the deepest analysis step put it
-    /// (the attack instant if replay ran) — callers roll back afterwards.
+    /// last clean checkpoint; `epoch_ops` the failed epoch's trace;
+    /// `monitor` the monitor's live session over `vm`, from which every
+    /// session of the analysis is reopened. On return the VM is left
+    /// wherever the deepest analysis step put it (the attack instant if
+    /// replay ran) — callers roll back afterwards.
     ///
     /// # Errors
     ///
@@ -77,8 +84,9 @@ impl Analyzer {
         meta: &MetaSnapshot,
         epoch_ops: &[GuestOp],
         findings: Vec<ScanFinding>,
+        monitor: &VmiSession,
     ) -> Result<Analysis, CrimesError> {
-        // (1) Dumps around the attack.
+        // (1) Dumps around the attack, each with its one session.
         let audit_failure = MemoryDump::from_vm(vm, DumpKind::AuditFailure);
         let last_good = MemoryDump::from_frames(
             backup_frames,
@@ -86,68 +94,107 @@ impl Analyzer {
             DumpKind::LastGoodCheckpoint,
             meta.captured_at_ns(),
         );
+        audit_failure.open_session_from(monitor)?;
+        last_good.open_session_from(monitor)?;
 
-        // (2) Replay to pinpoint memory-evidence attacks. Replay is a
-        // refinement, not the evidence itself: when it diverges or hits
-        // transient introspection faults, the analysis degrades to a
-        // no-pinpoint report instead of failing the whole response.
-        let canary_target = findings
-            .iter()
-            .find_map(|f| f.detection.first_canary_target());
-        let (pinpoint, attack_instant, replay_degraded) = match canary_target {
-            Some((pid, canary_gva)) => {
-                match self.replay.pinpoint_canary_attack(
-                    vm,
-                    backup_frames,
-                    backup_disk,
-                    meta,
-                    epoch_ops,
-                    pid,
-                    canary_gva,
-                ) {
-                    Ok(pin) => {
-                        let dump = pin
-                            .is_some()
-                            .then(|| MemoryDump::from_vm(vm, DumpKind::AttackInstant));
-                        (pin, dump, None)
-                    }
-                    Err(CrimesError::ReplayDiverged { op_index }) => (
-                        None,
-                        None,
-                        Some(format!("replay diverged at trace op {op_index}")),
-                    ),
-                    Err(CrimesError::Vmi(crimes_vmi::VmiError::TransientReadFault)) => (
-                        None,
-                        None,
-                        Some("transient VMI read fault during replay".to_owned()),
-                    ),
-                    Err(e) => return Err(e),
-                }
-            }
-            None => (None, None, None),
-        };
-
-        // (3) Diff + plugin sweep.
-        let diff = DumpDiff::between(&last_good, &audit_failure)?;
-
-        // (4) The report.
-        let report = self.render_report(
+        // (2) Replay to pinpoint memory-evidence attacks.
+        let (pinpoint, attack_instant, replay_degraded) = self.replay(
+            vm,
+            backup_frames,
+            backup_disk,
+            meta,
+            epoch_ops,
             &findings,
-            pinpoint.as_ref(),
-            replay_degraded.as_deref(),
-            &audit_failure,
-            &diff,
+            monitor,
         )?;
 
-        Ok(Analysis {
+        // (3) + (4) Diff, plugin sweep and report.
+        self.conclude(
             findings,
             pinpoint,
             replay_degraded,
-            dumps: AnalysisDumps {
+            AnalysisDumps {
                 last_good,
                 audit_failure,
                 attack_instant,
             },
+        )
+    }
+
+    /// Step (2): replay the epoch to pinpoint a canary violation, if the
+    /// findings hold one. Replay is a refinement, not the evidence itself:
+    /// when it diverges or hits transient introspection faults, the
+    /// analysis degrades to a no-pinpoint report (the third value says
+    /// why) instead of failing the whole response.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    pub(crate) fn replay(
+        &self,
+        vm: &mut Vm,
+        backup_frames: &[u8],
+        backup_disk: &[u8],
+        meta: &MetaSnapshot,
+        epoch_ops: &[GuestOp],
+        findings: &[ScanFinding],
+        monitor: &VmiSession,
+    ) -> Result<(Option<AttackPinpoint>, Option<MemoryDump>, Option<String>), CrimesError> {
+        let Some((pid, canary_gva)) = findings
+            .iter()
+            .find_map(|f| f.detection.first_canary_target())
+        else {
+            return Ok((None, None, None));
+        };
+        match self.replay.pinpoint_canary_attack(
+            vm,
+            backup_frames,
+            backup_disk,
+            meta,
+            epoch_ops,
+            pid,
+            canary_gva,
+            monitor,
+        ) {
+            Ok(pin) => {
+                let dump = pin
+                    .is_some()
+                    .then(|| MemoryDump::from_vm(vm, DumpKind::AttackInstant));
+                Ok((pin, dump, None))
+            }
+            Err(CrimesError::ReplayDiverged { op_index }) => Ok((
+                None,
+                None,
+                Some(format!("replay diverged at trace op {op_index}")),
+            )),
+            Err(CrimesError::Vmi(crimes_vmi::VmiError::TransientReadFault)) => Ok((
+                None,
+                None,
+                Some("transient VMI read fault during replay".to_owned()),
+            )),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Steps (3) and (4): diff the dumps and render the report, through
+    /// each dump's own session.
+    pub(crate) fn conclude(
+        &self,
+        findings: Vec<ScanFinding>,
+        pinpoint: Option<AttackPinpoint>,
+        replay_degraded: Option<String>,
+        dumps: AnalysisDumps,
+    ) -> Result<Analysis, CrimesError> {
+        let diff = DumpDiff::between(&dumps.last_good, &dumps.audit_failure)?;
+        let report = self.render_report(
+            &findings,
+            pinpoint.as_ref(),
+            replay_degraded.as_deref(),
+            &dumps.audit_failure,
+            &diff,
+        )?;
+        Ok(Analysis {
+            findings,
+            pinpoint,
+            replay_degraded,
+            dumps,
             diff,
             report,
         })
@@ -237,8 +284,7 @@ impl Analyzer {
         }
 
         // Deep sweep: cross-view anomalies on the failure dump.
-        let session = failure_dump.open_session()?;
-        let rows = plugins::psxview(&session, failure_dump)?;
+        let rows = plugins::psxview(failure_dump.open_session()?, failure_dump)?;
         if rows.iter().any(|r| r.is_suspicious()) {
             b.psxview_anomalies(&rows);
         }
@@ -300,6 +346,7 @@ mod tests {
         let pid = vm.spawn_process("victim", 0, 16).unwrap();
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let monitor = VmiSession::init(&vm).unwrap();
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
         attacks::inject_heap_overflow(&mut vm, pid, 64, 8).unwrap();
@@ -307,7 +354,7 @@ mod tests {
         let ops = vm.trace_since(mark);
 
         let analysis = Analyzer::new()
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, &monitor)
             .unwrap();
 
         let pin = analysis.pinpoint.expect("pinpoint");
@@ -331,6 +378,7 @@ mod tests {
         let pid = vm.spawn_process("victim", 0, 16).unwrap();
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let monitor = VmiSession::init(&vm).unwrap();
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
         attacks::inject_heap_overflow(&mut vm, pid, 64, 8).unwrap();
@@ -343,7 +391,7 @@ mod tests {
             9,
         );
         let analysis = Analyzer::new()
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, &monitor)
             .expect("analysis degrades instead of failing");
         assert!(analysis.pinpoint.is_none());
         assert!(analysis.dumps.attack_instant.is_none());
@@ -360,6 +408,7 @@ mod tests {
         vm.set_recording(true);
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let monitor = VmiSession::init(&vm).unwrap();
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
         let rec = attacks::inject_malware_launch(&mut vm, "reg_read.exe").unwrap();
@@ -377,7 +426,7 @@ mod tests {
         let ops = vm.trace_since(mark);
 
         let analysis = Analyzer::new()
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, &monitor)
             .unwrap();
 
         assert!(analysis.pinpoint.is_none(), "no replay for malware (§5.6)");
@@ -396,6 +445,7 @@ mod tests {
         vm.set_recording(true);
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let monitor = VmiSession::init(&vm).unwrap();
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
         let rec = attacks::inject_rootkit_hide(&mut vm, "rootkitd").unwrap();
@@ -411,7 +461,7 @@ mod tests {
         }];
         let ops = vm.trace_since(mark);
         let analysis = Analyzer::new()
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, &monitor)
             .unwrap();
         let text = analysis.report.to_text();
         assert!(text.contains("Hidden Process Anomalies"));
@@ -424,6 +474,7 @@ mod tests {
         vm.set_recording(true);
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let monitor = VmiSession::init(&vm).unwrap();
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
         attacks::inject_syscall_hijack(&mut vm, 99).unwrap();
@@ -433,7 +484,7 @@ mod tests {
         }];
         let ops = vm.trace_since(mark);
         let analysis = Analyzer::new()
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, &monitor)
             .unwrap();
         assert!(analysis.report.to_text().contains("syscall 99"));
     }

@@ -21,6 +21,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crimes_forensics::{plugins, MemoryDump};
+use crimes_vmi::VmiSession;
 use crimes_workloads::Blacklist;
 
 use crate::detector::{Detection, ScanFinding};
@@ -72,8 +73,10 @@ pub struct AsyncScanner {
 impl AsyncScanner {
     /// Spawn the worker. `blacklist` drives the deep malware pass (it also
     /// sees DKOM-hidden processes, which the synchronous blacklist scan
-    /// cannot).
-    pub fn spawn(blacklist: Blacklist) -> Self {
+    /// cannot). `monitor` is a session over the guest whose checkpoints
+    /// will be shipped: each dump's session is reopened from its parsed
+    /// symbol table.
+    pub fn spawn(blacklist: Blacklist, monitor: VmiSession) -> Self {
         // Capacity 1: at most one checkpoint in flight; a busy worker makes
         // dispatch skip rather than queue stale work.
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(1);
@@ -83,7 +86,7 @@ impl AsyncScanner {
             .spawn(move || {
                 while let Ok(job) = job_rx.recv() {
                     let t0 = Instant::now();
-                    let findings = deep_sweep(&job.dump, &blacklist);
+                    let findings = deep_sweep(&job.dump, &blacklist, &monitor);
                     let result = AsyncScanResult {
                         epoch: job.epoch,
                         findings,
@@ -171,16 +174,16 @@ impl Drop for AsyncScanner {
 
 /// The heavy sweep itself: cross-view process and module checks plus a
 /// blacklist pass over heuristically scanned tasks.
-fn deep_sweep(dump: &MemoryDump, blacklist: &Blacklist) -> Vec<ScanFinding> {
+fn deep_sweep(dump: &MemoryDump, blacklist: &Blacklist, monitor: &VmiSession) -> Vec<ScanFinding> {
     let mut findings = Vec::new();
-    let Ok(session) = dump.open_session() else {
+    let Ok(session) = dump.open_session_from(monitor) else {
         // A checkpoint too damaged to introspect is itself suspicious,
         // but without a session there is nothing structured to report.
         return findings;
     };
 
     // psscan vs pslist cross-view (sees DKOM-hidden processes).
-    if let Ok(rows) = plugins::psxview(&session, dump) {
+    if let Ok(rows) = plugins::psxview(session, dump) {
         for row in rows.into_iter().filter(|r| r.is_suspicious()) {
             findings.push(ScanFinding {
                 module: "async-psxview".to_owned(),
@@ -193,13 +196,13 @@ fn deep_sweep(dump: &MemoryDump, blacklist: &Blacklist) -> Vec<ScanFinding> {
     }
 
     // modscan vs module-list cross-view (sees hidden LKMs).
-    let listed: BTreeSet<String> = plugins::pslist(&session, dump)
+    let listed: BTreeSet<String> = plugins::pslist(session, dump)
         .ok()
         .map(|_| ()) // keep the happy path flat; module list handled below
-        .and_then(|()| crimes_vmi::linux::module_list(&session, dump.memory()).ok())
+        .and_then(|()| crimes_vmi::linux::module_list(session, dump.memory()).ok())
         .map(|mods| mods.into_iter().map(|m| m.name).collect())
         .unwrap_or_default();
-    if let Ok(scanned) = plugins::modscan(&session, dump) {
+    if let Ok(scanned) = plugins::modscan(session, dump) {
         for m in scanned
             .into_iter()
             .filter(|m| !listed.contains(&m.module.name))
@@ -239,11 +242,15 @@ mod tests {
         b.build()
     }
 
+    fn monitor(vm: &Vm) -> VmiSession {
+        VmiSession::init(vm).unwrap()
+    }
+
     #[test]
     fn clean_checkpoint_sweeps_clean() {
         let mut vm = vm();
         vm.spawn_process("nginx", 33, 2).unwrap();
-        let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
+        let mut scanner = AsyncScanner::spawn(Blacklist::bundled(), monitor(&vm));
         assert!(scanner.dispatch(1, MemoryDump::from_vm(&vm, DumpKind::Adhoc)));
         let results = scanner.drain();
         assert_eq!(results.len(), 1);
@@ -256,7 +263,7 @@ mod tests {
     fn hidden_process_is_found_asynchronously() {
         let mut vm = vm();
         attacks::inject_rootkit_hide(&mut vm, "rk_proc").unwrap();
-        let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
+        let mut scanner = AsyncScanner::spawn(Blacklist::bundled(), monitor(&vm));
         scanner.dispatch(7, MemoryDump::from_vm(&vm, DumpKind::Adhoc));
         let results = scanner.drain();
         assert_eq!(results.len(), 1);
@@ -276,7 +283,7 @@ mod tests {
             panic!()
         };
         vm.hide_process(pid).unwrap();
-        let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
+        let mut scanner = AsyncScanner::spawn(Blacklist::bundled(), monitor(&vm));
         scanner.dispatch(3, MemoryDump::from_vm(&vm, DumpKind::Adhoc));
         let results = scanner.drain();
         assert!(results[0]
@@ -290,7 +297,7 @@ mod tests {
         let mut vm = vm();
         vm.load_module("rk_lkm", 0x666).unwrap();
         vm.hide_module("rk_lkm").unwrap();
-        let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
+        let mut scanner = AsyncScanner::spawn(Blacklist::bundled(), monitor(&vm));
         scanner.dispatch(2, MemoryDump::from_vm(&vm, DumpKind::Adhoc));
         let results = scanner.drain();
         assert!(results[0]
@@ -302,7 +309,7 @@ mod tests {
     #[test]
     fn busy_worker_skips_rather_than_queues() {
         let vm = vm();
-        let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
+        let mut scanner = AsyncScanner::spawn(Blacklist::bundled(), monitor(&vm));
         // Flood with dispatches; with a single worker and capacity-1
         // channel, at least one must be skipped.
         let mut sent = 0;
@@ -321,7 +328,7 @@ mod tests {
     #[test]
     fn drop_joins_the_worker() {
         let vm = vm();
-        let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
+        let mut scanner = AsyncScanner::spawn(Blacklist::bundled(), monitor(&vm));
         scanner.dispatch(1, MemoryDump::from_vm(&vm, DumpKind::Adhoc));
         drop(scanner); // must not hang or panic
     }

@@ -125,7 +125,8 @@ pub struct PendingBoundary {
 /// robustness mechanism actually fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RobustnessStats {
-    /// Transient-VMI-fault retries performed inside audits.
+    /// Transient-VMI-fault retries performed: in audits, investigations
+    /// and the monitor's initial introspection init.
     pub vmi_retries: u64,
     /// Epochs whose audit was inconclusive (speculation extended).
     pub speculation_extensions: u64,
@@ -158,6 +159,27 @@ const DRAIN_PHASE_LABEL: &str = "drain";
 /// tests never block.
 fn backoff_sleep(clock: &dyn Clock, attempt: u32) {
     clock.sleep(Duration::from_micros(20 * u64::from(attempt)));
+}
+
+/// The monitor's one full introspection init: the `System.map` parse that
+/// every later session (replay, dumps, async sweeps) is reopened from. A
+/// transient read fault is retried up to `retries` times with the audit's
+/// backoff. Returns the session and the retries spent.
+fn init_session(
+    vm: &Vm,
+    retries: u32,
+    clock: &dyn Clock,
+) -> Result<(VmiSession, u32), CrimesError> {
+    let mut attempt = 0;
+    loop {
+        match VmiSession::init(vm) {
+            Err(VmiError::TransientReadFault) if attempt < retries => {
+                attempt += 1;
+                backoff_sleep(clock, attempt);
+            }
+            session => return Ok((session?, attempt)),
+        }
+    }
 }
 
 /// `true` when every recorded introspection error is a retryable
@@ -429,7 +451,7 @@ impl Crimes {
         config: CrimesConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, CrimesError> {
-        let session = VmiSession::init(&vm)?;
+        let (session, init_retries) = init_session(&vm, config.vmi_retries, &*clock)?;
         let checkpointer = Checkpointer::new(&vm, config.checkpoint);
         vm.set_recording(true);
         let last_good_meta = vm.meta_snapshot();
@@ -446,6 +468,7 @@ impl Crimes {
         if config.requested_pause_workers > config.checkpoint.pause_workers {
             telemetry.add(Counter::PauseWorkerClamps, 1);
         }
+        telemetry.add(Counter::VmiRetries, u64::from(init_retries));
         Ok(Crimes {
             vm,
             config,
@@ -465,7 +488,10 @@ impl Crimes {
             async_forensics: None,
             deferred: Vec::new(),
             pending: None,
-            robustness: RobustnessStats::default(),
+            robustness: RobustnessStats {
+                vmi_retries: u64::from(init_retries),
+                ..RobustnessStats::default()
+            },
             clock,
             telemetry,
             recorder: FlightRecorder::new(config.flight_recorder_epochs),
@@ -503,7 +529,7 @@ impl Crimes {
         journal_bytes: &[u8],
     ) -> Result<Self, CrimesError> {
         let (journal, state) = EvidenceJournal::recover_from(journal_bytes);
-        let session = VmiSession::init(&vm)?;
+        let (session, init_retries) = init_session(&vm, config.vmi_retries, &*clock)?;
         let checkpointer = Checkpointer::attach(
             &vm,
             config.checkpoint,
@@ -515,13 +541,14 @@ impl Crimes {
         let epoch_start_mark = vm.trace_mark();
         // Telemetry is process-local and starts fresh; the journal is the
         // durable record, counters are observability.
-        let telemetry = if config.checkpoint.staging_buffers > 0 {
+        let mut telemetry = if config.checkpoint.staging_buffers > 0 {
             let mut labels: Vec<&'static str> = Phase::ALL.map(Phase::label).to_vec();
             labels.push(DRAIN_PHASE_LABEL);
             Telemetry::new(&labels)
         } else {
             Telemetry::new(&Phase::ALL.map(Phase::label))
         };
+        telemetry.add(Counter::VmiRetries, u64::from(init_retries));
         let mut buffer = OutputBuffer::with_limits(
             config.safety,
             config.max_held_outputs,
@@ -553,7 +580,10 @@ impl Crimes {
             async_forensics: None,
             deferred: Vec::new(),
             pending: None,
-            robustness: RobustnessStats::default(),
+            robustness: RobustnessStats {
+                vmi_retries: u64::from(init_retries),
+                ..RobustnessStats::default()
+            },
             clock,
             telemetry,
             recorder,
@@ -597,7 +627,10 @@ impl Crimes {
         blacklist: crimes_workloads::Blacklist,
     ) {
         assert!(every_n_epochs > 0, "cadence must be at least 1");
-        self.async_forensics = Some((AsyncScanner::spawn(blacklist), every_n_epochs));
+        self.async_forensics = Some((
+            AsyncScanner::spawn(blacklist, self.session.clone()),
+            every_n_epochs,
+        ));
     }
 
     /// Take the asynchronous sweeps collected so far (clean and suspicious
@@ -1434,6 +1467,7 @@ impl Crimes {
                 &self.last_good_meta,
                 &ops,
                 audit.findings.clone(),
+                &self.session,
             );
             match result {
                 Err(CrimesError::Vmi(VmiError::TransientReadFault))
@@ -2590,5 +2624,256 @@ mod tests {
             .flight_recorder()
             .events()
             .any(|e| e.kind.label() == "missing_audit_start"));
+    }
+
+    /// The analysis `investigate` returns, recomputed on a twin guest with
+    /// freshly parsed sessions everywhere: replay reopens from a new
+    /// `VmiSession::init`, and each dump, having no session yet, parses
+    /// its own `System.map` (`VmiSession::init_with`) when the diff first
+    /// asks for it.
+    fn analysis_with_fresh_sessions(c: &mut Crimes) -> Analysis {
+        let audit = c.pending.clone().expect("incident pending");
+        let ops = c.vm.trace_since(c.epoch_start_mark);
+        let fresh = VmiSession::init(&c.vm).expect("fresh init");
+        let audit_failure =
+            crimes_forensics::MemoryDump::from_vm(&c.vm, crimes_forensics::DumpKind::AuditFailure);
+        let last_good = crimes_forensics::MemoryDump::from_frames(
+            c.checkpointer.backup().frames(),
+            &c.vm,
+            crimes_forensics::DumpKind::LastGoodCheckpoint,
+            c.last_good_meta.captured_at_ns(),
+        );
+        let (pinpoint, attack_instant, replay_degraded) = c
+            .analyzer
+            .replay(
+                &mut c.vm,
+                c.checkpointer.backup().frames(),
+                c.checkpointer.backup().disk(),
+                &c.last_good_meta,
+                &ops,
+                &audit.findings,
+                &fresh,
+            )
+            .expect("replay");
+        let mut analysis = c
+            .analyzer
+            .conclude(
+                audit.findings,
+                pinpoint,
+                replay_degraded,
+                crate::analyzer::AnalysisDumps {
+                    last_good,
+                    audit_failure,
+                    attack_instant,
+                },
+            )
+            .expect("conclude");
+        analysis
+            .report
+            .push_section("Framework flight recorder", &c.recorder.render_timeline());
+        analysis
+    }
+
+    /// Run `attack` as one epoch on two identical guests under a
+    /// `TestClock`, investigate one and recompute the other with fresh
+    /// sessions; the two analyses must agree in every part.
+    fn assert_investigation_matches_fresh_sessions(
+        setup: impl Fn(&mut Crimes) -> u32,
+        attack: impl Fn(&mut Vm, u32) -> Result<(), VmError>,
+    ) -> Analysis {
+        let mut twins = [0, 1].map(|_| {
+            let mut c = protected_with_clock(TestClock::new(), |_| {});
+            let pid = setup(&mut c);
+            assert!(c
+                .run_epoch(|_, _| Ok(()))
+                .expect("clean epoch")
+                .is_committed());
+            let outcome = c.run_epoch(|vm, _| attack(vm, pid)).expect("attack epoch");
+            assert!(matches!(outcome, EpochOutcome::AttackDetected { .. }));
+            c
+        });
+        let [ref mut live, ref mut twin] = twins;
+        let got = live.investigate().expect("investigate");
+        let want = analysis_with_fresh_sessions(twin);
+
+        // The monitor's parse is the only one: every dump session of the
+        // investigation shares its table, while the reference parsed anew.
+        for dump in [&got.dumps.last_good, &got.dumps.audit_failure] {
+            let session = dump.open_session().expect("opened by investigate");
+            assert!(Arc::ptr_eq(session.symbols(), live.session.symbols()));
+        }
+        let fresh = want
+            .dumps
+            .audit_failure
+            .open_session()
+            .expect("opened by the diff");
+        assert!(!Arc::ptr_eq(fresh.symbols(), twin.session.symbols()));
+
+        assert!(
+            got.dumps.last_good.memory().dump_frames()
+                == want.dumps.last_good.memory().dump_frames()
+        );
+        assert!(
+            got.dumps.audit_failure.memory().dump_frames()
+                == want.dumps.audit_failure.memory().dump_frames()
+        );
+        assert_eq!(got.findings, want.findings);
+        assert_eq!(got.pinpoint, want.pinpoint);
+        assert_eq!(got.replay_degraded, want.replay_degraded);
+        assert_eq!(
+            got.dumps
+                .attack_instant
+                .as_ref()
+                .map(|d| d.memory().dump_frames()),
+            want.dumps
+                .attack_instant
+                .as_ref()
+                .map(|d| d.memory().dump_frames())
+        );
+        assert_eq!(got.diff, want.diff);
+        assert_eq!(got.report.to_text(), want.report.to_text());
+        got
+    }
+
+    #[test]
+    fn heap_investigation_matches_fresh_sessions() {
+        let got = assert_investigation_matches_fresh_sessions(
+            |c| {
+                let secret = c.vm().canary_secret();
+                c.register_module(Box::new(CanaryScanModule::new(secret)));
+                c.vm_mut().spawn_process("victim", 0, 16).expect("spawn")
+            },
+            |vm, pid| attacks::inject_heap_overflow(vm, pid, 64, 16).map(|_| ()),
+        );
+        assert!(got.pinpoint.is_some());
+        assert!(got.dumps.attack_instant.is_some());
+    }
+
+    #[test]
+    fn rootkit_investigation_matches_fresh_sessions() {
+        let got = assert_investigation_matches_fresh_sessions(
+            |c| {
+                c.register_module(Box::new(crate::modules::HiddenProcessModule::new()));
+                0
+            },
+            |vm, _| attacks::inject_rootkit_hide(vm, "rootkitd").map(|_| ()),
+        );
+        assert!(got.report.to_text().contains("Hidden Process Anomalies"));
+    }
+
+    #[test]
+    fn malware_investigation_matches_fresh_sessions() {
+        let got = assert_investigation_matches_fresh_sessions(
+            |c| {
+                c.register_module(Box::new(BlacklistScanModule::bundled()));
+                0
+            },
+            |vm, _| attacks::inject_malware_launch(vm, "reg_read.exe").map(|_| ()),
+        );
+        let text = got.report.to_text();
+        assert!(text.contains("104.28.18.89:8080"));
+        assert!(text.contains("write_file.txt"));
+    }
+
+    #[test]
+    fn wild_pid_hash_pointer_fails_the_audit_closed() {
+        // A guest-written pid-hash slot whose task pointer lies 1 TiB into
+        // the direct map, far past this 2048-page guest's memory.
+        let mut b = Vm::builder();
+        b.pages(2048).seed(66);
+        let mut cfg = CrimesConfig::builder();
+        cfg.epoch_interval_ms(50);
+        let mut c =
+            Crimes::protect(b.build(), cfg.build().expect("valid config")).expect("protect");
+        c.register_module(Box::new(crate::modules::HiddenProcessModule::new()));
+        let layout = c.vm().layout().clone();
+        let slot = (0..layout.pid_hash_capacity as u64)
+            .map(|i| layout.pid_hash.add(i * crimes_vm::layout::PID_SLOT_SIZE))
+            .find(|&slot| c.vm().memory().read_u32(slot.add(4)) == 0)
+            .expect("a free pid-hash slot");
+        let outcome = c
+            .run_epoch(|vm, _| {
+                let mem = vm.memory_mut();
+                mem.write_u32(slot, 4242);
+                mem.write_u32(slot.add(4), 1);
+                mem.write_u64(slot.add(8), crimes_vm::KERNEL_VIRT_BASE + (1 << 40));
+                Ok(())
+            })
+            .expect("the boundary completes");
+        let EpochOutcome::AttackDetected { audit, .. } = outcome else {
+            panic!("the audit must fail closed");
+        };
+        assert!(audit.errors.is_empty(), "{:?}", audit.errors);
+        assert!(audit.findings.iter().any(|f| f.detection
+            == crate::detector::Detection::HiddenProcess {
+                pid: 4242,
+                comm: crimes_vmi::linux::UNREADABLE_COMM.to_owned(),
+            }));
+    }
+
+    #[test]
+    fn protect_and_recover_retry_a_transient_fault_in_their_vmi_init() {
+        let guest = || {
+            let mut b = Vm::builder();
+            b.pages(2048).seed(66);
+            b.build()
+        };
+        let config = |retries: u32| {
+            let mut cfg = CrimesConfig::builder();
+            cfg.epoch_interval_ms(50).vmi_retries(retries);
+            cfg.build().expect("valid config")
+        };
+        let clock: Arc<dyn Clock> = Arc::new(TestClock::new());
+        let c = protected_with_clock(TestClock::new(), |_| {});
+        let backup = c.checkpointer().backup().clone();
+        let journal = c.journal().bytes().to_vec();
+
+        // Every VMI read faults: the init retries up to its budget, then
+        // surfaces the fault.
+        {
+            let _scope = install(
+                FaultPlan::disabled().with_rate(FaultPoint::VmiRead, SCALE),
+                1,
+            );
+            let err = Crimes::protect_with_clock(guest(), config(2), clock.clone())
+                .expect_err("a persistent fault fails protect");
+            assert_eq!(err, CrimesError::Vmi(VmiError::TransientReadFault));
+            let err = Crimes::recover(
+                c.vm().clone(),
+                backup.clone(),
+                config(2),
+                clock.clone(),
+                &journal,
+            )
+            .expect_err("a persistent fault fails recover");
+            assert_eq!(err, CrimesError::Vmi(VmiError::TransientReadFault));
+        }
+
+        // Half of all VMI reads fault: some seed faults the first init
+        // attempt, and the retry then succeeds and is counted.
+        let half = FaultPlan::disabled().with_rate(FaultPoint::VmiRead, SCALE / 2);
+        let protected = (0..64).find_map(|seed| {
+            let _scope = install(half, seed);
+            let p = Crimes::protect_with_clock(guest(), config(3), clock.clone()).ok()?;
+            (p.robustness_stats().vmi_retries > 0).then_some(p)
+        });
+        let p = protected.expect("some seed retries protect's init");
+        assert_eq!(
+            p.telemetry().counter(Counter::VmiRetries),
+            p.robustness_stats().vmi_retries
+        );
+        let recovered = (0..64).find_map(|seed| {
+            let _scope = install(half, seed);
+            let r = Crimes::recover(
+                c.vm().clone(),
+                backup.clone(),
+                config(3),
+                clock.clone(),
+                &journal,
+            )
+            .ok()?;
+            (r.robustness_stats().vmi_retries > 0).then_some(r)
+        });
+        assert!(recovered.is_some(), "some seed retries recover's init");
     }
 }

@@ -326,13 +326,11 @@ impl ScanModule for HiddenProcessModule {
         let mut findings = Vec::new();
         for entry in linux::pid_hash_entries(ctx.session, ctx.memory)? {
             if !listed.contains(&entry.pid) {
-                let gpa = ctx.session.translate_kernel(entry.task_gva)?;
-                let task = linux::read_task(ctx.memory, gpa);
                 findings.push(ScanFinding {
                     module: self.name().to_owned(),
                     detection: Detection::HiddenProcess {
                         pid: entry.pid,
-                        comm: task.comm,
+                        comm: linux::pid_hash_comm(ctx.session, ctx.memory, &entry),
                     },
                 });
             }
@@ -564,6 +562,34 @@ mod tests {
             other => panic!("wrong detection {other:?}"),
         }
         Ok(())
+    }
+
+    #[test]
+    fn hidden_process_module_reports_a_wild_pid_hash_pointer() {
+        // A guest-written pid-hash slot whose task pointer lies 1 TiB into
+        // the direct map, far past the guest's memory: the audit must fail
+        // closed on it, not error or panic.
+        let (mut vm, mut s) = setup();
+        let layout = vm.layout().clone();
+        let slot = (0..layout.pid_hash_capacity as u64)
+            .map(|i| layout.pid_hash.add(i * crimes_vm::layout::PID_SLOT_SIZE))
+            .find(|&slot| vm.memory().read_u32(slot.add(4)) == 0)
+            .expect("a free pid-hash slot");
+        let mem = vm.memory_mut();
+        mem.write_u32(slot, 4242);
+        mem.write_u32(slot.add(4), 1);
+        mem.write_u64(slot.add(8), crimes_vm::KERNEL_VIRT_BASE + (1 << 40));
+        let findings = audit(&vm, &mut s, Box::new(HiddenProcessModule::new()));
+        assert_eq!(
+            findings,
+            vec![ScanFinding {
+                module: "hidden-process".to_owned(),
+                detection: Detection::HiddenProcess {
+                    pid: 4242,
+                    comm: linux::UNREADABLE_COMM.to_owned(),
+                },
+            }]
+        );
     }
 
     #[test]

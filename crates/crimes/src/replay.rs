@@ -52,6 +52,11 @@ impl ReplayEngine {
     /// the corrupting operation — or `None` if no replayed write touched
     /// the canary (e.g. non-memory evidence), with the VM at epoch end.
     ///
+    /// The replay's introspection session is reopened from `live`, the
+    /// monitor's live session over this guest, so replay never re-parses
+    /// `System.map`. The rollback rewrites only the frames the attack
+    /// epoch changed.
+    ///
     /// # Errors
     ///
     /// Fails if the canary address cannot be translated or a replayed op
@@ -70,6 +75,7 @@ impl ReplayEngine {
         ops: &[GuestOp],
         pid: u32,
         canary_gva: Gva,
+        live: &VmiSession,
     ) -> Result<Option<AttackPinpoint>, CrimesError> {
         let secret = vm.canary_secret();
         // Roll back to the clean snapshot (memory and disk).
@@ -81,7 +87,7 @@ impl ReplayEngine {
         // page lazily: try now; if translation fails, re-try after every
         // op until it succeeds.
         let monitor = MemEventMonitor::new();
-        let mut session = VmiSession::init(vm)?;
+        let mut session = live.reopen(vm.memory())?;
         let mut armed = self.try_arm(&mut session, vm, pid, canary_gva, &monitor)?;
 
         for (idx, op) in ops.iter().enumerate() {
@@ -190,6 +196,7 @@ mod tests {
         let pid = vm.spawn_process("victim", 0, 32).expect("spawn");
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let live = VmiSession::init(&vm).expect("init");
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
 
@@ -209,7 +216,7 @@ mod tests {
         let total_ops = ops.len();
 
         let pin = ReplayEngine::new()
-            .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, canary_gva)
+            .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, canary_gva, &live)
             .expect("replay")
             .expect("attack must be pinpointed");
         assert!(vm.vcpus().all_paused(), "VM pauses at the attack instant");
@@ -243,12 +250,22 @@ mod tests {
         let obj = vm.malloc(pid, 32).expect("malloc");
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let live = VmiSession::init(&vm).expect("init");
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
         vm.write_user(pid, obj, &[0x42u8; 48], 0x1337).expect("write");
         let ops = vm.trace_since(mark);
         let pin = ReplayEngine::new()
-            .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, obj.add(32))
+            .pinpoint_canary_attack(
+                &mut vm,
+                &frames,
+                &disk,
+                &meta,
+                &ops,
+                pid,
+                obj.add(32),
+                &live,
+            )
             .expect("replay")
             .expect("pinpoint");
         assert_eq!(pin.rip, 0x1337);
@@ -264,12 +281,22 @@ mod tests {
         let obj = vm.malloc(pid, 32).expect("malloc");
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let live = VmiSession::init(&vm).expect("init");
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
         vm.write_user(pid, obj, &[1u8; 32], 0).expect("write"); // in bounds
         let ops = vm.trace_since(mark);
         let pin = ReplayEngine::new()
-            .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, obj.add(32))
+            .pinpoint_canary_attack(
+                &mut vm,
+                &frames,
+                &disk,
+                &meta,
+                &ops,
+                pid,
+                obj.add(32),
+                &live,
+            )
             .expect("replay");
         assert!(pin.is_none());
     }
@@ -281,6 +308,7 @@ mod tests {
         let pid = vm.spawn_process("victim", 0, 16).expect("spawn");
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let live = VmiSession::init(&vm).expect("init");
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
         let rec = attacks::inject_heap_overflow(&mut vm, pid, 16, 8).expect("attack");
@@ -290,7 +318,16 @@ mod tests {
         };
         let ops = vm.trace_since(mark);
         ReplayEngine::new()
-            .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, object.add(size))
+            .pinpoint_canary_attack(
+                &mut vm,
+                &frames,
+                &disk,
+                &meta,
+                &ops,
+                pid,
+                object.add(size),
+                &live,
+            )
             .expect("replay")
             .expect("pinpoint");
         // The attack was the last op, so the replayed image equals the
@@ -306,6 +343,7 @@ mod tests {
         let obj = vm.malloc(pid, 32).expect("malloc");
         let frames = vm.memory().dump_frames();
         let disk = vm.disk().dump();
+        let live = VmiSession::init(&vm).expect("init");
         let meta = vm.meta_snapshot();
         let mark = vm.trace_mark();
         vm.write_user(pid, obj, &[0x42u8; 48], 0x1337).expect("write");
@@ -316,7 +354,16 @@ mod tests {
             5,
         );
         let err = ReplayEngine::new()
-            .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, obj.add(32))
+            .pinpoint_canary_attack(
+                &mut vm,
+                &frames,
+                &disk,
+                &meta,
+                &ops,
+                pid,
+                obj.add(32),
+                &live,
+            )
             .expect_err("full-rate divergence");
         assert_eq!(err, CrimesError::ReplayDiverged { op_index: 0 });
     }

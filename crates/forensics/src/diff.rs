@@ -57,12 +57,12 @@ impl DumpDiff {
 
         let old_session = old.open_session()?;
         let new_session = new.open_session()?;
-        let old_tasks = plugins::pslist(&old_session, old)?;
-        let new_tasks = plugins::pslist(&new_session, new)?;
-        let old_socks = plugins::netscan(&old_session, old)?;
-        let new_socks = plugins::netscan(&new_session, new)?;
-        let old_files = plugins::handles(&old_session, old, None)?;
-        let new_files = plugins::handles(&new_session, new, None)?;
+        let old_tasks = plugins::pslist(old_session, old)?;
+        let new_tasks = plugins::pslist(new_session, new)?;
+        let old_socks = plugins::netscan(old_session, old)?;
+        let new_socks = plugins::netscan(new_session, new)?;
+        let old_files = plugins::handles(old_session, old, None)?;
+        let new_files = plugins::handles(new_session, new, None)?;
 
         Ok(DumpDiff {
             changed_pages,

@@ -5,6 +5,14 @@
 //! plus a third at the pinpointed attack instruction during replay. A
 //! [`MemoryDump`] is such an artifact: a self-contained frame image with
 //! the PFN→MFN table and `System.map` needed to re-address it offline.
+//!
+//! A dump opens its introspection session at most once and every plugin,
+//! diff and report over it reuses that session. A monitor that already
+//! holds a session opens the dump's from it with
+//! [`MemoryDump::open_session_from`], so analysing an incident never
+//! parses `System.map` again.
+
+use std::sync::{Arc, OnceLock};
 
 use crimes_vm::{GuestMemory, Mfn, SystemMap, Vm, PAGE_SIZE};
 use crimes_vmi::{VmiError, VmiSession};
@@ -38,9 +46,12 @@ impl DumpKind {
 #[derive(Debug, Clone)]
 pub struct MemoryDump {
     mem: GuestMemory,
-    symbols: SystemMap,
+    /// The guest's table, shared with the VM it was captured from.
+    symbols: Arc<SystemMap>,
     kind: DumpKind,
     guest_time_ns: u64,
+    /// The session over this dump, once opened.
+    session: OnceLock<VmiSession>,
 }
 
 impl MemoryDump {
@@ -51,9 +62,10 @@ impl MemoryDump {
                 vm.memory().dump_frames(),
                 vm.memory().pfn_to_mfn_table().to_vec(),
             ),
-            symbols: vm.system_map().clone(),
+            symbols: Arc::clone(vm.system_map()),
             kind,
             guest_time_ns: vm.now_ns(),
+            session: OnceLock::new(),
         }
     }
 
@@ -69,9 +81,10 @@ impl MemoryDump {
                 frames.to_vec(),
                 vm.memory().pfn_to_mfn_table().to_vec(),
             ),
-            symbols: vm.system_map().clone(),
+            symbols: Arc::clone(vm.system_map()),
             kind,
             guest_time_ns,
+            session: OnceLock::new(),
         }
     }
 
@@ -91,7 +104,7 @@ impl MemoryDump {
     }
 
     /// The symbol table shipped with the dump.
-    pub fn system_map(&self) -> &SystemMap {
+    pub fn system_map(&self) -> &Arc<SystemMap> {
         &self.symbols
     }
 
@@ -105,15 +118,42 @@ impl MemoryDump {
         self.num_pages() * PAGE_SIZE
     }
 
-    /// Open an introspection session over this dump (full Volatility-style
-    /// init cost: symbol parse, kernel detection, translation caches).
+    /// The introspection session over this dump. The first call on a dump
+    /// that has none yet initialises one the way an offline tool would:
+    /// it parses the `System.map` shipped with the dump, detects the
+    /// kernel and builds the translation caches. Every later call returns
+    /// that session, as it does the one [`open_session_from`] opened.
+    ///
+    /// [`open_session_from`]: Self::open_session_from
     ///
     /// # Errors
     ///
     /// Fails if the dump's kernel structures are too damaged to initialise
-    /// against.
-    pub fn open_session(&self) -> Result<VmiSession, VmiError> {
-        VmiSession::init_with(&self.symbols, &self.mem)
+    /// against. Nothing is kept then; a later call tries again.
+    pub fn open_session(&self) -> Result<&VmiSession, VmiError> {
+        if let Some(session) = self.session.get() {
+            return Ok(session);
+        }
+        let session = VmiSession::init_with(&self.symbols, &self.mem)?;
+        Ok(self.session.get_or_init(|| session))
+    }
+
+    /// The introspection session over this dump, opened (on first use)
+    /// from `base`'s parsed symbol table: kernel detection and translation
+    /// caches only, no `System.map` parse. `base` must belong to the guest
+    /// this dump was captured from. Returns the existing session if one is
+    /// already open.
+    ///
+    /// # Errors
+    ///
+    /// As [`VmiSession::reopen`]. Nothing is kept then; a later call tries
+    /// again.
+    pub fn open_session_from(&self, base: &VmiSession) -> Result<&VmiSession, VmiError> {
+        if let Some(session) = self.session.get() {
+            return Ok(session);
+        }
+        let session = base.reopen(&self.mem)?;
+        Ok(self.session.get_or_init(|| session))
     }
 
     /// Raw page content by guest frame number (for diffing).
@@ -166,8 +206,32 @@ mod tests {
         vm.spawn_process("nginx", 33, 4).unwrap();
         let dump = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
         let session = dump.open_session().expect("session over dump");
-        let tasks = crimes_vmi::linux::process_list(&session, dump.memory()).unwrap();
+        let tasks = crimes_vmi::linux::process_list(session, dump.memory()).unwrap();
         assert!(tasks.iter().any(|t| t.comm == "nginx"));
+    }
+
+    #[test]
+    fn dump_opens_its_session_once() {
+        let vm = vm();
+        let dump = MemoryDump::from_vm(&vm, DumpKind::Adhoc);
+        assert!(Arc::ptr_eq(dump.system_map(), vm.system_map()));
+        let first: *const VmiSession = dump.open_session().unwrap();
+        let again: *const VmiSession = dump.open_session().unwrap();
+        assert_eq!(first, again);
+    }
+
+    #[test]
+    fn session_from_a_monitor_shares_its_table() {
+        let mut vm = vm();
+        let monitor = VmiSession::init(&vm).unwrap();
+        vm.spawn_process("later", 0, 2).unwrap();
+        let dump = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
+        let session = dump.open_session_from(&monitor).unwrap();
+        assert!(Arc::ptr_eq(session.symbols(), monitor.symbols()));
+        // Later callers, with or without a base, get the same session.
+        assert!(std::ptr::eq(dump.open_session().unwrap(), session));
+        let tasks = crimes_vmi::linux::process_list(session, dump.memory()).unwrap();
+        assert!(tasks.iter().any(|t| t.comm == "later"));
     }
 
     #[test]

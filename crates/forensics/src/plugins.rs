@@ -201,9 +201,8 @@ pub fn psxview(session: &VmiSession, dump: &MemoryDump) -> Result<Vec<PsxviewRow
     }
     for e in &hash {
         // Resolve the comm via the task struct the hash points at.
-        let gpa = session.translate_kernel(e.task_gva)?;
-        let t = linux::read_task(dump.memory(), gpa);
-        let i = row_for(e.pid, &t.comm, &mut rows);
+        let comm = linux::pid_hash_comm(session, dump.memory(), e);
+        let i = row_for(e.pid, &comm, &mut rows);
         rows[i].in_pid_hash = true;
     }
     rows.sort_by_key(|r| r.pid);
@@ -346,7 +345,8 @@ fn format_endpoint(addr: u32, port: u16) -> String {
 mod tests {
     use super::*;
     use crate::dump::DumpKind;
-    use crimes_vm::Vm;
+    use crimes_vm::layout::PID_SLOT_SIZE;
+    use crimes_vm::{Vm, KERNEL_VIRT_BASE};
 
     fn vm() -> Vm {
         let mut b = Vm::builder();
@@ -356,7 +356,7 @@ mod tests {
 
     fn dump_and_session(vm: &Vm) -> (MemoryDump, VmiSession) {
         let dump = MemoryDump::from_vm(vm, DumpKind::Adhoc);
-        let session = dump.open_session().expect("session");
+        let session = dump.open_session().expect("session").clone();
         (dump, session)
     }
 
@@ -420,6 +420,31 @@ mod tests {
         let good_row = rows.iter().find(|r| r.pid == good).unwrap();
         assert!(!good_row.is_suspicious());
         assert!(good_row.in_pslist && good_row.in_psscan && good_row.in_pid_hash);
+    }
+
+    #[test]
+    fn psxview_reports_a_wild_pid_hash_pointer_instead_of_panicking() {
+        // A guest-written pid-hash slot whose task pointer lies 1 TiB into
+        // the direct map, far past this 2048-page guest's memory.
+        let mut vm = vm();
+        let layout = vm.layout().clone();
+        let slot = (0..layout.pid_hash_capacity as u64)
+            .map(|i| layout.pid_hash.add(i * PID_SLOT_SIZE))
+            .find(|&slot| vm.memory().read_u32(slot.add(4)) == 0)
+            .expect("a free pid-hash slot");
+        let mem = vm.memory_mut();
+        mem.write_u32(slot, 4242);
+        mem.write_u32(slot.add(4), 1);
+        mem.write_u64(slot.add(8), KERNEL_VIRT_BASE + (1 << 40));
+        let (dump, session) = dump_and_session(&vm);
+        let rows = psxview(&session, &dump).unwrap();
+        let row = rows
+            .iter()
+            .find(|r| r.pid == 4242)
+            .expect("row for the entry");
+        assert_eq!(row.comm, linux::UNREADABLE_COMM);
+        assert!(row.in_pid_hash && !row.in_pslist);
+        assert!(row.is_suspicious());
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl ReportBuilder {
         pid: Option<u32>,
     ) -> Result<&mut Self, crimes_vmi::VmiError> {
         let session = dump.open_session()?;
-        let socks = plugins::netscan(&session, dump)?;
+        let socks = plugins::netscan(session, dump)?;
         let mut body = format!(
             "{:<10} {:<24} {:<24} State\n",
             "Protocol", "Local Address", "Foreign Address"
@@ -134,7 +134,7 @@ impl ReportBuilder {
         pid: Option<u32>,
     ) -> Result<&mut Self, crimes_vmi::VmiError> {
         let session = dump.open_session()?;
-        let files = plugins::handles(&session, dump, pid)?;
+        let files = plugins::handles(session, dump, pid)?;
         let mut body = String::new();
         for f in files {
             let _ = writeln!(body, "{}", f.path);
@@ -219,7 +219,7 @@ mod tests {
         let (vm, evil) = malware_vm();
         let dump = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
         let session = dump.open_session().unwrap();
-        let task = crimes_vmi::linux::task_by_pid(&session, dump.memory(), evil).unwrap();
+        let task = crimes_vmi::linux::task_by_pid(session, dump.memory(), evil).unwrap();
 
         let mut b = ReportBuilder::new("CRIMES Malware Report");
         b.malware_process(&task);

@@ -54,7 +54,7 @@ impl DumpPredicate for ModuleNamed {
 
     fn holds(&self, dump: &MemoryDump) -> Result<bool, VmiError> {
         let session = dump.open_session()?;
-        Ok(plugins::modscan(&session, dump)?
+        Ok(plugins::modscan(session, dump)?
             .iter()
             .any(|m| m.module.name == self.0))
     }
@@ -80,7 +80,7 @@ impl DumpPredicate for SocketTo {
 
     fn holds(&self, dump: &MemoryDump) -> Result<bool, VmiError> {
         let session = dump.open_session()?;
-        Ok(plugins::netscan(&session, dump)?
+        Ok(plugins::netscan(session, dump)?
             .iter()
             .any(|s| s.faddr == self.faddr && s.fport == self.fport))
     }

@@ -79,7 +79,7 @@ pub fn run_plugin(dump: &MemoryDump, name: &str, pid: Option<u32>) -> Result<Str
                 "{:<8} {:<16} {:<6} {:<10} Start",
                 "PID", "Name", "UID", "State"
             );
-            for t in plugins::pslist(&session, dump)? {
+            for t in plugins::pslist(session, dump)? {
                 let _ = writeln!(
                     out,
                     "{:<8} {:<16} {:<6} {:<10} t+{}ns",
@@ -107,7 +107,7 @@ pub fn run_plugin(dump: &MemoryDump, name: &str, pid: Option<u32>) -> Result<Str
                 "{:<8} {:<16} {:<8} {:<8} {:<10} Suspicious",
                 "PID", "Name", "pslist", "psscan", "pid_hash"
             );
-            for r in plugins::psxview(&session, dump)? {
+            for r in plugins::psxview(session, dump)? {
                 let _ = writeln!(
                     out,
                     "{:<8} {:<16} {:<8} {:<8} {:<10} {}",
@@ -122,7 +122,7 @@ pub fn run_plugin(dump: &MemoryDump, name: &str, pid: Option<u32>) -> Result<Str
         }
         "procdump" => {
             let pid = pid.ok_or(PluginError::MissingPid("procdump"))?;
-            let image = plugins::procdump(&session, dump, pid)?;
+            let image = plugins::procdump(session, dump, pid)?;
             let _ = writeln!(out, "dumped pid {pid}: {} bytes", image.len());
         }
         "netscan" => {
@@ -131,7 +131,7 @@ pub fn run_plugin(dump: &MemoryDump, name: &str, pid: Option<u32>) -> Result<Str
                 "{:<10} {:<24} {:<24} {:<14} PID",
                 "Protocol", "Local Address", "Foreign Address", "State"
             );
-            for s in plugins::netscan(&session, dump)? {
+            for s in plugins::netscan(session, dump)? {
                 if pid.is_some_and(|p| p != s.pid) {
                     continue;
                 }
@@ -148,14 +148,14 @@ pub fn run_plugin(dump: &MemoryDump, name: &str, pid: Option<u32>) -> Result<Str
         }
         "handles" => {
             let _ = writeln!(out, "{:<8} Path", "PID");
-            for f in plugins::handles(&session, dump, pid)? {
+            for f in plugins::handles(session, dump, pid)? {
                 let _ = writeln!(out, "{:<8} {}", f.pid, f.path);
             }
         }
         "linux_proc_map" => {
             let pid = pid.ok_or(PluginError::MissingPid("linux_proc_map"))?;
             let _ = writeln!(out, "{:<20} {:<20} Size", "Start", "End");
-            for m in plugins::proc_maps(&session, dump, pid)? {
+            for m in plugins::proc_maps(session, dump, pid)? {
                 let _ = writeln!(
                     out,
                     "{:<20} {:<20} {:#x}",
@@ -167,7 +167,7 @@ pub fn run_plugin(dump: &MemoryDump, name: &str, pid: Option<u32>) -> Result<Str
         }
         "modscan" => {
             let _ = writeln!(out, "{:<32} {:<10} Found-at", "Name", "Size");
-            for m in plugins::modscan(&session, dump)? {
+            for m in plugins::modscan(session, dump)? {
                 let _ = writeln!(
                     out,
                     "{:<32} {:<#10x} {}",

@@ -252,12 +252,16 @@ impl GuestMemory {
     }
 
     /// Restore the entire memory image from a dump produced by
-    /// [`GuestMemory::dump_frames`].
+    /// [`GuestMemory::dump_frames`]. Only frames whose content differs
+    /// from the dump are rewritten: a rollback after one epoch differs in
+    /// the frames that epoch wrote, not the whole guest, and the result is
+    /// byte-identical to a full copy either way. Returns the number of
+    /// frames rewritten.
     ///
     /// # Panics
     ///
     /// Panics if the dump size does not match this memory's size.
-    pub fn restore_frames(&mut self, dump: &[u8]) {
+    pub fn restore_frames(&mut self, dump: &[u8]) -> usize {
         assert_eq!(
             dump.len(),
             self.frames.len(),
@@ -265,7 +269,18 @@ impl GuestMemory {
             dump.len(),
             self.frames.len()
         );
-        self.frames.copy_from_slice(dump);
+        let mut rewritten = 0;
+        for (frame, src) in self
+            .frames
+            .chunks_exact_mut(PAGE_SIZE)
+            .zip(dump.chunks_exact(PAGE_SIZE))
+        {
+            if frame != src {
+                frame.copy_from_slice(src);
+                rewritten += 1;
+            }
+        }
+        rewritten
     }
 
     fn record_watch_hits(&mut self, gpa: Gpa, data: &[u8]) {

@@ -146,3 +146,52 @@ fn system_map_round_trips() {
         assert_eq!(parsed, m);
     });
 }
+
+/// `Vm::restore_with_frames` rewrites only the frames that differ from
+/// the image, yet leaves memory byte-identical to a full copy whether no
+/// frame, some frames or every frame differs; dirty tracking and
+/// watchpoints come back cleared.
+#[test]
+fn restore_with_frames_matches_a_full_copy() {
+    let mut b = crate::Vm::builder();
+    b.pages(2048).seed(9);
+    let base = b.build();
+    let image = base.memory().dump_frames();
+    let meta = base.meta_snapshot();
+    let pages = base.memory().num_pages() as u64;
+    check("restore_with_frames_matches_a_full_copy", Config::with_cases(24), |g: &mut Gen| {
+        let mut vm = base.clone();
+        match g.int(0u8..3) {
+            // No frame differs.
+            0 => {}
+            // Some frames differ (a write may also leave a frame as it was).
+            1 => {
+                for _ in 0..g.int(1usize..64) {
+                    let gpa = Gpa(g.int(0..pages) * PAGE_SIZE as u64 + g.int(0..PAGE_SIZE as u64 - 8));
+                    vm.memory_mut().write_u64(gpa, g.any_u64());
+                }
+            }
+            // Every frame differs.
+            _ => {
+                for pfn in 0..pages {
+                    let gpa = Gpa(pfn * PAGE_SIZE as u64 + g.int(0..PAGE_SIZE as u64));
+                    let old = vm.memory().read_u8(gpa);
+                    vm.memory_mut().write(gpa, &[!old]);
+                }
+            }
+        }
+        vm.memory_mut().watches_mut().watch(Pfn(g.int(0..pages)));
+        let differing = (0..pages)
+            .filter(|&mfn| {
+                let at = mfn as usize * PAGE_SIZE;
+                vm.memory().frame(crate::addr::Mfn(mfn)) != &image[at..at + PAGE_SIZE]
+            })
+            .count();
+        assert_eq!(vm.memory().clone().restore_frames(&image), differing);
+
+        vm.restore_with_frames(&image, &meta);
+        assert!(vm.memory().dump_frames() == image, "memory differs from the image");
+        assert!(vm.memory().dirty().is_empty());
+        assert!(vm.memory().watches().is_empty());
+    });
+}

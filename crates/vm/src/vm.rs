@@ -5,6 +5,8 @@
 //! trace and replaying it are guaranteed to exercise identical code paths —
 //! the property CRIMES' rollback-and-replay analysis relies on.
 
+use std::sync::Arc;
+
 use crimes_rng::ChaCha8Rng;
 
 use crate::addr::{Gpa, Gva, PAGE_SIZE};
@@ -159,7 +161,7 @@ impl VmBuilder {
         let mut mem = GuestMemory::new(self.pages, self.seed);
         let layout = KernelLayout::for_pages(self.pages);
         let kernel = Kernel::install(&mut mem, layout.clone());
-        let system_map = SystemMap::for_layout(&layout);
+        let system_map = Arc::new(SystemMap::for_layout(&layout));
         let procs = ProcessTable::new(layout.user_start, Gpa(self.pages as u64 * PAGE_SIZE as u64));
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x5ca1_ab1e);
         let mut secret = [0u8; CANARY_LEN];
@@ -254,7 +256,7 @@ pub struct Vm {
     heap: CanaryHeap,
     disk: VirtualDisk,
     layout: KernelLayout,
-    system_map: SystemMap,
+    system_map: Arc<SystemMap>,
     trace: Trace,
     now_ns: u64,
 }
@@ -283,8 +285,9 @@ impl Vm {
         &mut self.mem
     }
 
-    /// The `System.map` the provider holds for this guest's kernel.
-    pub fn system_map(&self) -> &SystemMap {
+    /// The `System.map` the provider holds for this guest's kernel. It is
+    /// shared, not copied: dumps of this guest hold the same table.
+    pub fn system_map(&self) -> &Arc<SystemMap> {
         &self.system_map
     }
 
@@ -681,7 +684,9 @@ impl Vm {
 
     /// Roll back to a frame image (machine-frame order, as produced by
     /// [`GuestMemory::dump_frames`] or a backup VM) plus the matching
-    /// bookkeeping snapshot.
+    /// bookkeeping snapshot. Only frames that differ from the image are
+    /// rewritten (see [`GuestMemory::restore_frames`]); dirty tracking and
+    /// watchpoints are cleared.
     ///
     /// # Panics
     ///

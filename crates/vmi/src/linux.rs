@@ -8,7 +8,7 @@
 
 use crimes_vm::kernel::TaskState;
 use crimes_vm::layout::{
-    module_offsets, task_offsets, MODULE_MAGIC, MODULE_STRUCT_SIZE, SYSCALL_COUNT,
+    module_offsets, task_offsets, MODULE_MAGIC, MODULE_STRUCT_SIZE, SYSCALL_COUNT, TASK_STRUCT_SIZE,
 };
 use crimes_vm::symbols::names;
 use crimes_vm::{Gpa, GuestMemory, Gva};
@@ -89,7 +89,7 @@ pub fn process_list(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<TaskI
         if next == init_gva {
             return Ok(tasks);
         }
-        cur = session.translate_kernel(next)?;
+        cur = session.translate_kernel(next, TASK_STRUCT_SIZE)?;
     }
     Err(VmiError::MalformedList {
         what: "task",
@@ -111,7 +111,7 @@ pub fn module_list(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<Module
         if cur == head_gva {
             return Ok(modules);
         }
-        let gpa = session.translate_kernel(cur)?;
+        let gpa = session.translate_kernel(cur, MODULE_STRUCT_SIZE)?;
         let magic = mem.read_u32(gpa.add(module_offsets::MAGIC));
         if magic != MODULE_MAGIC {
             // A stale or corrupted entry: report the walk as malformed
@@ -206,6 +206,21 @@ pub fn pid_hash_entries(
     }
     entries.sort_by_key(|e| e.pid);
     Ok(entries)
+}
+
+/// The comm reported for a pid-hash entry whose task pointer does not
+/// lead to a task struct inside guest memory.
+pub const UNREADABLE_COMM: &str = "<unreadable>";
+
+/// The comm of the task a pid-hash entry points at. The entry's task
+/// pointer is guest-written: when it does not translate to a task struct
+/// inside guest memory the comm is [`UNREADABLE_COMM`], so a cross-view
+/// check still reports the entry instead of failing on it.
+pub fn pid_hash_comm(session: &VmiSession, mem: &GuestMemory, entry: &PidHashEntry) -> String {
+    match session.translate_kernel(entry.task_gva, TASK_STRUCT_SIZE) {
+        Ok(gpa) => read_task(mem, gpa).comm,
+        Err(_) => UNREADABLE_COMM.to_owned(),
+    }
 }
 
 /// Find a task by pid via the task list.

@@ -14,11 +14,19 @@
 //!   once;
 //! * **memory analysis** — the per-scan walks in [`crate::linux`], which are
 //!   all that runs inside the checkpoint pause window.
+//!
+//! The parsed table is shared (`Arc`): [`VmiSession::reopen`] opens a
+//! session over another memory view of the same guest — a forensic dump,
+//! or the guest after a rollback — from an existing session's table. It
+//! re-reads and checks the banner, resolves the hot symbols and refreshes
+//! the address spaces, but does not parse again. A monitor therefore pays
+//! the parse once, when it starts protecting a guest.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crimes_vm::layout::task_offsets;
+use crimes_vm::layout::{task_offsets, TASK_STRUCT_SIZE};
 use crimes_vm::symbols::names;
 use crimes_vm::{Gpa, GuestMemory, Gva, SystemMap, Vm};
 
@@ -27,7 +35,8 @@ use crate::error::VmiError;
 /// Init-phase timings, matching Table 3's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InitTimings {
-    /// Symbol parse + kernel detection.
+    /// Symbol parse + kernel detection (kernel detection alone for a
+    /// [`VmiSession::reopen`]ed session).
     pub initialization: Duration,
     /// Translation-cache construction.
     pub preprocessing: Duration,
@@ -55,12 +64,16 @@ impl AddressSpace {
 /// An initialised introspection session for one VM.
 #[derive(Debug, Clone)]
 pub struct VmiSession {
-    symbols: SystemMap,
+    symbols: Arc<SystemMap>,
     banner: String,
     /// Hot symbols resolved to guest-physical addresses.
     resolved: HashMap<&'static str, Gpa>,
     /// pid → user address space, discovered from task structs.
     address_spaces: HashMap<u32, AddressSpace>,
+    /// Size of the memory view the session was opened over: a kernel
+    /// pointer whose object would end past it faults instead of reading
+    /// out of range.
+    mem_bytes: u64,
     timings: InitTimings,
 }
 
@@ -103,6 +116,27 @@ impl VmiSession {
         // parses the real file.
         let text = map.to_text();
         let symbols = SystemMap::parse(&text).map_err(VmiError::BadSystemMap)?;
+        Self::open(Arc::new(symbols), mem, t0)
+    }
+
+    /// Open a session over another memory view of the same guest (a dump,
+    /// or the guest after a rollback), sharing this session's parsed
+    /// symbol table. The banner is re-read and checked, the hot symbols
+    /// resolved and the address spaces refreshed; the table is not parsed
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the view's banner names an unsupported kernel or its task
+    /// list is malformed, or with [`VmiError::TransientReadFault`] when an
+    /// injected read fault fires.
+    pub fn reopen(&self, mem: &GuestMemory) -> Result<Self, VmiError> {
+        Self::open(Arc::clone(&self.symbols), mem, Instant::now())
+    }
+
+    /// Kernel detection and preprocessing over `mem` from a parsed table;
+    /// `t0` is when the initialization phase started.
+    fn open(symbols: Arc<SystemMap>, mem: &GuestMemory, t0: Instant) -> Result<Self, VmiError> {
         let banner_gpa = kernel_sym_gpa(&symbols, names::LINUX_BANNER)?;
         let banner = read_c_string(mem, banner_gpa, 128);
         if !banner.starts_with("Linux version 4.") {
@@ -121,6 +155,7 @@ impl VmiSession {
             banner,
             resolved,
             address_spaces: HashMap::new(),
+            mem_bytes: mem.size_bytes() as u64,
             timings: InitTimings::default(),
         };
         session.refresh_address_spaces(mem)?;
@@ -134,6 +169,12 @@ impl VmiSession {
     /// Init-phase timings (Table 3's first two rows).
     pub fn timings(&self) -> InitTimings {
         self.timings
+    }
+
+    /// The parsed symbol table, shared with every session
+    /// [`reopen`](Self::reopen)ed from this one.
+    pub fn symbols(&self) -> &Arc<SystemMap> {
+        &self.symbols
     }
 
     /// The banner string read from guest memory.
@@ -164,17 +205,25 @@ impl VmiSession {
         kernel_sym_gpa(&self.symbols, name)
     }
 
-    /// Translate a kernel GVA (direct map).
+    /// Translate the kernel GVA of a `len`-byte kernel object (direct
+    /// map). Kernel pointers read out of guest memory are guest-written,
+    /// so the whole object must lie inside the memory view the session
+    /// was opened over.
     ///
     /// # Errors
     ///
-    /// Fails for user addresses.
+    /// [`VmiError::TranslationFault`] for user addresses and for objects
+    /// that would end past guest memory.
     // lint: pause-window
-    pub fn translate_kernel(&self, gva: Gva) -> Result<Gpa, VmiError> {
+    pub fn translate_kernel(&self, gva: Gva, len: u64) -> Result<Gpa, VmiError> {
         if !gva.is_kernel() {
             return Err(VmiError::TranslationFault(gva));
         }
-        gva.kernel_to_gpa().ok_or(VmiError::TranslationFault(gva))
+        let gpa = gva.kernel_to_gpa().ok_or(VmiError::TranslationFault(gva))?;
+        match gpa.0.checked_add(len) {
+            Some(end) if end <= self.mem_bytes => Ok(gpa),
+            _ => Err(VmiError::TranslationFault(gva)),
+        }
     }
 
     /// Translate a user GVA through `pid`'s cached address space.
@@ -236,7 +285,7 @@ impl VmiSession {
                 self.address_spaces = spaces;
                 return Ok(());
             }
-            cur_gpa = self.translate_kernel(next)?;
+            cur_gpa = self.translate_kernel(next, TASK_STRUCT_SIZE)?;
         }
         Err(VmiError::MalformedList {
             what: "task",
@@ -319,7 +368,51 @@ mod tests {
     fn translate_kernel_rejects_user_addresses() {
         let vm = vm();
         let s = VmiSession::init(&vm).expect("init");
-        assert!(s.translate_kernel(Gva(0x1000)).is_err());
+        assert!(s.translate_kernel(Gva(0x1000), 8).is_err());
+    }
+
+    #[test]
+    fn translate_kernel_rejects_objects_past_guest_memory() {
+        let vm = vm();
+        let s = VmiSession::init(&vm).expect("init");
+        let end = vm.memory().size_bytes() as u64;
+        let last = Gpa(end - 128).to_kernel_gva();
+        assert_eq!(s.translate_kernel(last, 128), Ok(Gpa(end - 128)));
+        assert!(s.translate_kernel(last, 129).is_err());
+        let far = Gpa(end + (1 << 40)).to_kernel_gva();
+        assert_eq!(
+            s.translate_kernel(far, 8),
+            Err(VmiError::TranslationFault(far))
+        );
+    }
+
+    #[test]
+    fn reopen_shares_the_table_and_reads_the_new_view() {
+        let mut vm = vm();
+        let s = VmiSession::init(&vm).expect("init");
+        let pid = vm.spawn_process("late", 0, 4).unwrap();
+        let r = s.reopen(vm.memory()).expect("reopen");
+        assert!(Arc::ptr_eq(r.symbols(), s.symbols()));
+        assert!(s.address_space(pid).is_none());
+        assert!(r.address_space(pid).is_some());
+        assert_eq!(r.kernel_banner(), s.kernel_banner());
+        // A fresh init parses its own table with the same contents.
+        let fresh = VmiSession::init(&vm).expect("init");
+        assert!(!Arc::ptr_eq(fresh.symbols(), s.symbols()));
+        assert_eq!(**fresh.symbols(), **r.symbols());
+        assert_eq!(fresh.address_space(pid), r.address_space(pid));
+    }
+
+    #[test]
+    fn reopen_checks_the_banner_of_the_new_view() {
+        let vm = vm();
+        let s = VmiSession::init(&vm).expect("init");
+        let mut mem = vm.memory().clone();
+        mem.write(vm.layout().banner, b"Linux version 2.6.32");
+        assert!(matches!(
+            s.reopen(&mem),
+            Err(VmiError::UnsupportedKernel(_))
+        ));
     }
 
     #[test]

@@ -129,6 +129,11 @@ for artifact in telemetry.json telemetry_counters.csv telemetry_phases.csv telem
 done
 rm -rf "${TELEMETRY_OUT}"
 
+echo "==> perfbench self-tests and incident smoke"
+# The end-to-end benchmark builds from this checkout; its smoke must report
+# a correct run with no failed operations.
+scripts/perfbench_smoke.sh
+
 echo "==> examples smoke-run"
 for example in quickstart overflow_attack malware_detection web_server_safety cloud_fleet; do
     echo "    --example ${example}"

@@ -384,12 +384,25 @@ fn soak_fail_closed_under_injected_faults() {
 /// are thread-local, so the scheduler runs its drains inline here).
 #[test]
 fn fleet_soak_scheduler_fail_closed_under_injected_faults() {
+    fleet_soak(
+        env_u64("CRIMES_FAULT_SEED", DEFAULT_SEED),
+        env_u64("CRIMES_FLEET_SOAK_ROUNDS", 150),
+    );
+}
+
+/// Seed 5 once failed in `add_vm`: a transient VMI read fault fired in a
+/// replacement tenant's initial introspection init, which `protect` did
+/// not retry.
+#[test]
+fn regression_fleet_soak_seed_5() {
+    fleet_soak(5, 60);
+}
+
+fn fleet_soak(seed: u64, rounds: u64) {
     use crimes::modules::BlacklistScanModule;
     use crimes::{Fleet, FleetScheduler, FleetSchedulerConfig};
     use std::collections::BTreeMap;
 
-    let seed = env_u64("CRIMES_FAULT_SEED", DEFAULT_SEED);
-    let rounds = env_u64("CRIMES_FLEET_SOAK_ROUNDS", 150);
     let _scope = install(soak_plan(), seed ^ 0xf1ee);
     let mut driver = ChaCha8Rng::seed_from_u64(seed ^ 0x0f1e_e750);
 

@@ -130,14 +130,14 @@ fn psscan_sees_through_rootkit_in_failure_dump() {
     let session = dump.open_session().unwrap();
 
     // pslist is blind; psscan and psxview are not.
-    assert!(!plugins::pslist(&session, dump)
+    assert!(!plugins::pslist(session, dump)
         .unwrap()
         .iter()
         .any(|t| t.comm == "rkhide"));
     assert!(plugins::psscan(dump)
         .iter()
         .any(|s| s.task.comm == "rkhide" && !s.freed));
-    let rows = plugins::psxview(&session, dump).unwrap();
+    let rows = plugins::psxview(session, dump).unwrap();
     let row = rows.iter().find(|r| r.comm == "rkhide").unwrap();
     assert!(row.is_suspicious());
     c.rollback_and_resume().unwrap();
@@ -153,11 +153,11 @@ fn standalone_dumps_work_without_the_framework() {
     let dump = MemoryDump::from_vm(&vm, DumpKind::Adhoc);
     let session = dump.open_session().unwrap();
 
-    let socks = plugins::netscan(&session, &dump).unwrap();
+    let socks = plugins::netscan(session, &dump).unwrap();
     assert_eq!(socks.len(), 1);
     assert_eq!(socks[0].local_endpoint(), "127.0.0.1:8443");
 
-    let image = plugins::procdump(&session, &dump, pid).unwrap();
+    let image = plugins::procdump(session, &dump, pid).unwrap();
     assert_eq!(image.len(), 4 * 4096);
 
     // Two ad-hoc dumps diff cleanly.
